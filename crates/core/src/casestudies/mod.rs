@@ -20,6 +20,7 @@ use crate::flow::{EvalConfig, HdlSource};
 use crate::metrics::MetricSet;
 use crate::space::ParameterSpace;
 use dovado_hdl::catalog::{CatalogSource, SourceCatalog};
+use dovado_hdl::ParseCache;
 
 /// A packaged case study.
 ///
@@ -56,20 +57,13 @@ impl CaseStudy {
         part: &'static str,
         metrics: MetricSet,
     ) -> CaseStudy {
-        let catalog =
-            SourceCatalog::from_sources(tree).unwrap_or_else(|e| panic!("case study {name}: {e}"));
+        let parses = ParseCache::new();
+        let catalog = SourceCatalog::from_sources_in(tree, &parses)
+            .unwrap_or_else(|e| panic!("case study {name}: {e}"));
         let top = catalog
             .infer_top()
             .unwrap_or_else(|e| panic!("case study {name}: {e}"));
-        let sources = catalog
-            .compile_order()
-            .map(|f| HdlSource {
-                name: f.path.clone(),
-                language: f.language,
-                content: f.text.clone(),
-                library: f.library.clone(),
-            })
-            .collect();
+        let sources = HdlSource::from_catalog(&catalog, &parses);
         CaseStudy {
             name,
             sources,

@@ -14,11 +14,11 @@ use crate::metrics::Evaluation;
 use crate::point::DesignPoint;
 use crate::trace::{FlowEvent, TraceSummary};
 use dovado_eda::{EvalKey, EvalStore, FaultInjector, FaultPlan};
-use dovado_hdl::{Language, ModuleInterface};
+use dovado_hdl::{Language, ModuleInterface, ParseCache, SourceCatalog};
 use std::sync::Arc;
 
 /// One HDL source handed to Dovado.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct HdlSource {
     /// File name (used in the tool's filesystem).
     pub name: String,
@@ -28,6 +28,20 @@ pub struct HdlSource {
     pub content: String,
     /// VHDL library (None = `work`).
     pub library: Option<String>,
+    /// The cache this source was already parsed through (the project
+    /// catalog's), so the engine and the tool reuse that parse instead
+    /// of repeating it. Lookups compare the full text, so an edited
+    /// `content` simply misses. Not part of the source's identity.
+    pub(crate) parses: Option<ParseCache>,
+}
+
+impl PartialEq for HdlSource {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.language == other.language
+            && self.content == other.content
+            && self.library == other.library
+    }
 }
 
 impl HdlSource {
@@ -38,8 +52,29 @@ impl HdlSource {
             language,
             content: content.into(),
             library: None,
+            parses: None,
         }
     }
+
+    /// The catalog's sources in compile order, each carrying the cache
+    /// the catalog parsed it through.
+    pub(crate) fn from_catalog(catalog: &SourceCatalog, parses: &ParseCache) -> Vec<HdlSource> {
+        catalog
+            .compile_order()
+            .map(|f| HdlSource {
+                name: f.path.clone(),
+                language: f.language,
+                content: f.text.clone(),
+                library: f.library.clone(),
+                parses: Some(parses.clone()),
+            })
+            .collect()
+    }
+}
+
+/// The parse cache a source set was already parsed through, if any.
+pub(crate) fn parse_cache_of(sources: &[HdlSource]) -> Option<ParseCache> {
+    sources.iter().find_map(|s| s.parses.clone())
 }
 
 /// Loads an RTL project tree for evaluation: catalogs every HDL file
@@ -55,12 +90,13 @@ pub fn load_project_tree(
     top: Option<&str>,
 ) -> DovadoResult<(Vec<HdlSource>, String)> {
     use crate::error::DovadoError;
-    use dovado_hdl::catalog::{CatalogError, SourceCatalog};
+    use dovado_hdl::catalog::CatalogError;
     let to_err = |e: CatalogError| match e {
         CatalogError::Parse(m) => DovadoError::Parse(m),
         other => DovadoError::Config(other.to_string()),
     };
-    let catalog = SourceCatalog::walk(dir).map_err(to_err)?;
+    let parses = ParseCache::new();
+    let catalog = SourceCatalog::walk_in(dir, &parses).map_err(to_err)?;
     if catalog.files().is_empty() {
         return Err(DovadoError::Config(format!(
             "no HDL sources (.vhd/.vhdl/.v/.sv) found under {}",
@@ -71,16 +107,7 @@ pub fn load_project_tree(
         Some(t) => t.to_string(),
         None => catalog.infer_top().map_err(to_err)?,
     };
-    let sources = catalog
-        .compile_order()
-        .map(|f| HdlSource {
-            name: f.path.clone(),
-            language: f.language,
-            content: f.text.clone(),
-            library: f.library.clone(),
-        })
-        .collect();
-    Ok((sources, top))
+    Ok((HdlSource::from_catalog(&catalog, &parses), top))
 }
 
 /// Which flow step produces the metrics (paper §III-A: "one of the typical

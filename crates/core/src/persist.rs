@@ -202,7 +202,8 @@ fn catalog_fingerprint(sources: &[HdlSource]) -> String {
             text: s.content.clone(),
         })
         .collect();
-    match SourceCatalog::from_sources(catalog_sources) {
+    let parses = crate::flow::parse_cache_of(sources).unwrap_or_default();
+    match SourceCatalog::from_sources_in(catalog_sources, &parses) {
         Ok(cat) => cat.fingerprint().to_string(),
         Err(e) => format!("catalog-unavailable:{e}"),
     }

@@ -2,8 +2,8 @@
 //! `submit`/`shutdown` commands and the service-level test harness.
 
 use super::json::{escape, Json};
-use super::protocol::{JobSpec, SERVE_PROTOCOL_VERSION};
-use std::io::{BufRead, BufReader, Write};
+use super::protocol::{write_line, JobSpec, SERVE_PROTOCOL_VERSION};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 /// One connection to a serve daemon.
@@ -42,8 +42,7 @@ impl Client {
 
     /// Sends one raw request line.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()
+        write_line(&mut self.writer, line)
     }
 
     /// Reads one response line; `None` on a closed connection.

@@ -10,8 +10,16 @@
 //! Numbers are held as `f64` (the trace format itself never emits a
 //! value outside `f64`'s exact-integer range; sequence numbers are far
 //! below 2^53).
+//!
+//! Arrays and objects nest at most 64 levels deep. The parser
+//! recurses once per level, so without the limit a line of a million
+//! `[` would overflow the stack of whichever thread reads it.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts; deeper input
+/// is a syntax error. Protocol messages nest four levels at most.
+const MAX_DEPTH: usize = 64;
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +44,7 @@ impl Json {
     pub fn parse(text: &str) -> Option<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return None;
@@ -131,11 +139,13 @@ fn eat(bytes: &[u8], pos: &mut usize, b: u8) -> Option<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Json> {
+/// Parses one value; `depth` is how many more array/object levels may
+/// open below this point.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     skip_ws(bytes, pos);
     match bytes.get(*pos)? {
-        b'{' => parse_object(bytes, pos),
-        b'[' => parse_array(bytes, pos),
+        b'{' => parse_object(bytes, pos, depth.checked_sub(1)?),
+        b'[' => parse_array(bytes, pos, depth.checked_sub(1)?),
         b'"' => parse_string(bytes, pos).map(Json::Str),
         b't' => parse_literal(bytes, pos, b"true", Json::Bool(true)),
         b'f' => parse_literal(bytes, pos, b"false", Json::Bool(false)),
@@ -217,7 +227,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     eat(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -226,7 +236,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Json> {
         return Some(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
             b',' => *pos += 1,
@@ -239,7 +249,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Json> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     eat(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -251,7 +261,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Json> {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         eat(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos)? {
@@ -313,6 +323,18 @@ mod tests {
         assert_eq!(Json::parse("0").unwrap().as_u64(), Some(0));
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_some());
+        assert_eq!(Json::parse(&nested(MAX_DEPTH + 1)), None);
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_some());
+        assert_eq!(Json::parse(&objects(MAX_DEPTH + 1)), None);
+        // A million unclosed brackets fail fast instead of recursing.
+        assert_eq!(Json::parse(&"[".repeat(1 << 20)), None);
     }
 
     #[test]

@@ -253,6 +253,18 @@ pub enum Request {
     Shutdown,
 }
 
+/// Writes `line` and its terminating newline with a single `write_all`.
+///
+/// Both ends of the protocol write lines this way. Split into a body
+/// write and a `"\n"` write, the second small segment waits under
+/// Nagle's algorithm for the peer's delayed ACK, ~40 ms per line.
+pub fn write_line(out: &mut impl std::io::Write, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    out.write_all(&buf)
+}
+
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = Json::parse(line).ok_or("request is not valid JSON")?;

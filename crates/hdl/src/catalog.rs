@@ -29,10 +29,12 @@
 //! results.
 
 use crate::ast::{Language, SourceFile};
+use crate::cache::ParseCache;
 use crate::error::Diagnostics;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// One design unit identified in a cataloged file, orbit-style.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,8 +150,8 @@ pub struct CatalogedFile {
     /// Full text (empty for structure-only catalogs built from
     /// pre-parsed sources).
     pub text: String,
-    /// The parse result.
-    pub file: SourceFile,
+    /// The parse result, shared with the parse cache it came through.
+    pub file: Arc<SourceFile>,
     /// The design units the file declares, in declaration order.
     pub units: Vec<DesignUnit>,
     /// Parser diagnostics, stamped with this file's path.
@@ -225,9 +227,20 @@ impl SourceCatalog {
     /// catalog sorts by path first, so the result is a pure function of
     /// the file *set*.
     pub fn from_sources(sources: Vec<CatalogSource>) -> Result<SourceCatalog, CatalogError> {
+        SourceCatalog::from_sources_in(sources, &ParseCache::new())
+    }
+
+    /// [`from_sources`](Self::from_sources), parsing through `parses`: a
+    /// text the cache already holds is not parsed again, and every clean
+    /// parse is left in the cache for later readers of the same text.
+    pub fn from_sources_in(
+        sources: Vec<CatalogSource>,
+        parses: &ParseCache,
+    ) -> Result<SourceCatalog, CatalogError> {
         let mut parsed = Vec::with_capacity(sources.len());
         for s in sources {
-            let (file, mut diags) = crate::parse_source(s.language, &s.text)
+            let (file, mut diags) = parses
+                .parse(s.language, &s.text)
                 .map_err(|e| CatalogError::Parse(e.in_file(&s.path).to_string()))?;
             diags.set_file(&s.path);
             if diags.has_errors() {
@@ -255,7 +268,7 @@ impl SourceCatalog {
     /// layer uses: it re-derives units and edges from parse results it
     /// already holds, without re-reading any file.
     pub fn from_parsed(
-        sources: Vec<(String, Language, Option<String>, SourceFile)>,
+        sources: Vec<(String, Language, Option<String>, Arc<SourceFile>)>,
     ) -> Result<SourceCatalog, CatalogError> {
         let parsed = sources
             .into_iter()
@@ -278,9 +291,15 @@ impl SourceCatalog {
     /// so the same tree catalogs identically on any platform; directory
     /// read order never matters because the catalog sorts by path.
     pub fn walk(root: &Path) -> Result<SourceCatalog, CatalogError> {
+        SourceCatalog::walk_in(root, &ParseCache::new())
+    }
+
+    /// [`walk`](Self::walk), parsing through `parses` (see
+    /// [`from_sources_in`](Self::from_sources_in)).
+    pub fn walk_in(root: &Path, parses: &ParseCache) -> Result<SourceCatalog, CatalogError> {
         let mut sources = Vec::new();
         collect_tree(root, root, &mut sources)?;
-        SourceCatalog::from_sources(sources)
+        SourceCatalog::from_sources_in(sources, parses)
     }
 
     fn build(mut files: Vec<CatalogedFile>) -> Result<SourceCatalog, CatalogError> {
@@ -825,11 +844,11 @@ mod tests {
     #[test]
     fn from_parsed_matches_from_sources_structure() {
         let full = SourceCatalog::from_sources(tree()).unwrap();
-        let reparsed: Vec<(String, Language, Option<String>, SourceFile)> = tree()
+        let reparsed: Vec<(String, Language, Option<String>, Arc<SourceFile>)> = tree()
             .into_iter()
             .map(|s| {
                 let (file, _) = crate::parse_source(s.language, &s.text).unwrap();
-                (s.path, s.language, s.library, file)
+                (s.path, s.language, s.library, Arc::new(file))
             })
             .collect();
         let structural = SourceCatalog::from_parsed(reparsed).unwrap();

@@ -15,7 +15,9 @@
 //! Beyond single buffers, the [`catalog`] module scales the front-end to
 //! whole repositories: it identifies primary/secondary design units across a
 //! source tree, orders files topologically by their dependency graph, and
-//! infers the top-level module from the graph.
+//! infers the top-level module from the graph, and the [`cache`] module
+//! memoizes parses by content so a tree read once per design point is
+//! parsed once.
 //!
 //! ## Example
 //!
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod cache;
 pub mod catalog;
 pub mod error;
 pub mod lexer;
@@ -44,6 +47,7 @@ pub use ast::{
     clog2, BinOp, ConfigurationDecl, ContextClause, Direction, EvalError, Expr, Instantiation,
     Language, ModuleInterface, PackageDecl, Parameter, Port, Range, RangeDir, SourceFile, TypeSpec,
 };
+pub use cache::{CacheStats, ParseCache};
 pub use catalog::{CatalogError, CatalogSource, CatalogedFile, DesignUnit, SourceCatalog};
 pub use error::{Diagnostic, Diagnostics, ParseError, ParseResult, Severity};
 pub use span::Span;

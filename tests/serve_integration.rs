@@ -56,8 +56,10 @@ fn fifo_spec(seed: u64, generations: u32, use_store: bool) -> JobSpec {
 /// The same job executed standalone, without the daemon: the oracle the
 /// streamed results must match.
 fn direct_report(seed: u64, generations: u32) -> DseReport {
-    let backend: Arc<dyn dovado::ToolBackend> =
-        Arc::from(backend_from_spec(&format!("mock:{seed}")).expect("mock spec"));
+    let backend: Arc<dyn dovado::ToolBackend> = Arc::from(
+        backend_from_spec(&format!("mock:{seed}"), &dovado_hdl::ParseCache::new())
+            .expect("mock spec"),
+    );
     let space = ParameterSpace::new()
         .with("DEPTH", dovado::cli::parse_domain(DEPTH_SPEC).unwrap())
         .with("DATA_WIDTH", dovado::cli::parse_domain(WIDTH_SPEC).unwrap());
@@ -441,6 +443,66 @@ fn status_reports_jobs_and_tenant_ledgers() {
         assert!(t.get("runs").and_then(Json::as_u64).unwrap() > 0);
         assert!(t.get("tool_time_s").and_then(Json::as_f64).unwrap() > 0.0);
     }
+    server.shutdown();
+}
+
+#[test]
+fn repeat_jobs_finish_under_the_delayed_ack_floor() {
+    // A line written as a body and a separate "\n" stalls ~40 ms on
+    // loopback: the small second segment waits under Nagle's algorithm
+    // for the peer's delayed ACK. A store-hit repeat job does a few
+    // milliseconds of work, so its submit-to-done time shows any stall.
+    let root = tempdir("serve-latency");
+    let mut server = Server::start(ServeConfig {
+        root: Some(root.clone()),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let spec = fifo_spec(5, 2, true);
+    let mut client = connect(&server, "alice");
+    client.submit("alice", 1, &spec).unwrap();
+    assert_eq!(client.stream_until_done().unwrap().status(), "done");
+
+    let mut millis: Vec<f64> = (0..12)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            client.submit("alice", 1, &spec).unwrap();
+            let outcome = client.stream_until_done().unwrap();
+            assert_eq!(outcome.status(), "done");
+            let totals = fold_stream(outcome.lines.iter().map(String::as_str));
+            assert_eq!(totals.summary.attempts, 0, "repeat jobs are store hits");
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    millis.sort_by(f64::total_cmp);
+    let median = millis[millis.len() / 2];
+    assert!(
+        median < 40.0,
+        "median submit-to-done {median:.1} ms is at the delayed-ACK floor: {millis:?}"
+    );
+    server.shutdown();
+    rm(&root);
+}
+
+#[test]
+fn a_megabyte_of_brackets_gets_an_error_and_the_daemon_serves_on() {
+    let mut server = Server::start(ServeConfig::default()).unwrap();
+    let mut hostile = Client::connect(&server.addr().to_string()).unwrap();
+    hostile.send_line(&"[".repeat(1 << 20)).unwrap();
+    let reply = Json::parse(&hostile.read_line().unwrap().expect("an error reply")).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    // The connection stays usable after the rejected line.
+    assert!(hostile.status().is_ok());
+    drop(hostile);
+
+    let mut client = connect(&server, "bob");
+    client.submit("bob", 1, &fifo_spec(3, 2, false)).unwrap();
+    let outcome = client.stream_until_done().unwrap();
+    assert_eq!(outcome.status(), "done");
+    assert_eq!(
+        done_pareto_bits(&outcome.done),
+        pareto_bits(&direct_report(3, 2))
+    );
     server.shutdown();
 }
 
