@@ -63,7 +63,7 @@ impl fmt::Display for Diagnostic {
 /// Ordered collection of diagnostics produced while parsing one source file.
 #[derive(Debug, Clone, Default)]
 pub struct Diagnostics {
-    items: Vec<Diagnostic>,
+    pub(crate) items: Vec<Diagnostic>,
 }
 
 impl Diagnostics {
